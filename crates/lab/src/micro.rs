@@ -90,18 +90,6 @@ pub fn run_micro(runs: u32) -> MicroReport {
         black_box(&q);
     }));
 
-    entries.push(measure("event_queue/push_cancel_pop_10k", 10_000, runs, || {
-        let mut q = EventQueue::<u64>::new();
-        let tokens: Vec<_> = (0..10_000u64)
-            .map(|i| q.push(SimTime::from_nanos(i % 997), i))
-            .collect();
-        for t in tokens.iter().step_by(2) {
-            q.cancel(*t);
-        }
-        while q.pop().is_some() {}
-        black_box(&q);
-    }));
-
     entries.push(measure("timer_wheel/insert_advance_10k", 10_000, runs, || {
         let mut w = TimerWheel::<u32>::new();
         for i in 0..10_000u64 {
@@ -161,7 +149,6 @@ mod tests {
             names,
             vec![
                 "event_queue/push_pop_10k_fifo",
-                "event_queue/push_cancel_pop_10k",
                 "timer_wheel/insert_advance_10k",
                 "timer_wheel/next_fire_under_load",
                 "rng/xoshiro_u64_1k",

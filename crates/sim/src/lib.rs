@@ -6,10 +6,10 @@
 //! * [`time`] — nanosecond-resolution simulated time ([`SimTime`],
 //!   [`SimDuration`]), CPU cycle counts ([`Cycles`]) and frequencies
 //!   ([`Freq`]) with exact conversions between the two domains.
-//! * [`queue`] — a cancellable, deterministic event queue
-//!   ([`EventQueue`]). Events with equal timestamps dispatch in FIFO
-//!   order, which makes whole-system simulations reproducible bit-for-bit
-//!   from a seed.
+//! * [`queue`] — a deterministic event queue ([`EventQueue`]; stale
+//!   events are invalidated by caller-side generation counters). Events
+//!   with equal timestamps dispatch in FIFO order, which makes
+//!   whole-system simulations reproducible bit-for-bit from a seed.
 //! * [`rng`] — a small, fast, seedable PRNG ([`SimRng`], xoshiro256++)
 //!   with the distributions the workload models need (uniform,
 //!   exponential, normal, lognormal, Pareto). No external entropy is ever
@@ -34,7 +34,8 @@
 //! The engine is intentionally *not* generic over a "process" model: the
 //! paratick system simulator (in the `paratick` core crate) uses the
 //! classic event-scheduling world view, where components compute their
-//! next interesting instant and (re)schedule a single cancellable event.
+//! next interesting instant and (re)schedule a single event, invalidating
+//! the superseded one with a generation counter.
 
 pub mod hash;
 pub mod histogram;
@@ -49,7 +50,7 @@ pub mod trace;
 pub use hash::{stable_digest_hex, StableHash, StableHasher};
 pub use histogram::Histogram;
 pub use json::{FromJson, Json, JsonError, ToJson};
-pub use queue::{EventQueue, EventToken};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use stats::{Counter, RateMeter, Summary};
 pub use time::{Cycles, Freq, SimDuration, SimTime};

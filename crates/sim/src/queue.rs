@@ -1,4 +1,5 @@
-//! Cancellable, deterministic event queue.
+//! Deterministic event queue (stale events invalidated by generation
+//! counters).
 //!
 //! The queue is a binary min-heap ordered by `(time, sequence)`. The
 //! sequence number is assigned at push time, so events scheduled for the
@@ -6,22 +7,15 @@
 //! deterministic: the only ordering inputs are the times and the program
 //! order of `push` calls.
 //!
-//! Cancellation is *lazy*: [`EventQueue::cancel`] marks the token and the
-//! entry is discarded when it reaches the top of the heap. This is the
-//! standard technique for DES engines where components continually
-//! reschedule their "next interesting instant" — cancelled entries are
-//! cheap tombstones rather than O(n) removals.
+//! There is no cancel operation. A component that reschedules its "next
+//! interesting instant" stamps each event with a generation counter it
+//! owns and bumps the counter on reschedule; when a superseded event
+//! reaches the top of the heap, its handler sees the stale generation
+//! and ignores it. The queue itself stays a plain heap.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
-
-/// Handle to a scheduled event, used to cancel it.
-///
-/// Tokens are unique per queue for the lifetime of the queue (a `u64`
-/// sequence cannot realistically wrap).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventToken(u64);
+use std::collections::BinaryHeap;
 
 struct Entry<E> {
     time: SimTime,
@@ -51,29 +45,30 @@ impl<E> PartialOrd for Entry<E> {
     }
 }
 
-/// A cancellable event queue over event payloads of type `E`.
+/// A deterministic event queue over event payloads of type `E`.
 ///
 /// ```
 /// use paratick_sim::{EventQueue, SimTime};
+/// let mut generation = 0;
 /// let mut q = EventQueue::new();
-/// let tok = q.push(SimTime::from_micros(5), "cancel me");
-/// q.push(SimTime::from_micros(1), "first");
-/// q.push(SimTime::from_micros(9), "last");
-/// q.cancel(tok);
-/// assert_eq!(q.pop(), Some((SimTime::from_micros(1), "first")));
-/// assert_eq!(q.pop(), Some((SimTime::from_micros(9), "last")));
-/// assert_eq!(q.pop(), None);
+/// q.push(SimTime::from_micros(5), generation);
+/// generation += 1; // reschedule: the event at 5us is now stale
+/// q.push(SimTime::from_micros(9), generation);
+/// let mut fired = Vec::new();
+/// while let Some((t, g)) = q.pop() {
+///     if g == generation {
+///         fired.push(t);
+///     }
+/// }
+/// assert_eq!(fired, [SimTime::from_micros(9)]);
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Sequence numbers of queued-but-not-yet-dispatched events.
-    live: HashSet<u64>,
-    cancelled: HashSet<u64>,
     next_seq: u64,
     /// Time of the most recently popped event; pops are monotone.
     last_popped: SimTime,
     popped_count: u64,
-    /// Most live events ever queued at once (engine self-profiling).
+    /// Most events ever queued at once (engine self-profiling).
     depth_hwm: usize,
 }
 
@@ -85,22 +80,12 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            live: HashSet::new(),
-            cancelled: HashSet::new(),
-            next_seq: 0,
-            last_popped: SimTime::ZERO,
-            popped_count: 0,
-            depth_hwm: 0,
-        }
+        Self::with_capacity(0)
     }
 
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
-            live: HashSet::with_capacity(cap),
-            cancelled: HashSet::new(),
             next_seq: 0,
             last_popped: SimTime::ZERO,
             popped_count: 0,
@@ -108,13 +93,12 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedule `event` at `time`. Returns a token that can later cancel
-    /// it.
+    /// Schedule `event` at `time`.
     ///
     /// Panics if `time` is before the most recently popped event: a
     /// component trying to schedule into the simulated past is a logic
     /// bug that would otherwise silently corrupt causality.
-    pub fn push(&mut self, time: SimTime, event: E) -> EventToken {
+    pub fn push(&mut self, time: SimTime, event: E) {
         assert!(
             time >= self.last_popped,
             "event scheduled in the past: {time} < {}",
@@ -122,64 +106,31 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.live.insert(seq);
         self.heap.push(Entry { time, seq, event });
-        self.depth_hwm = self.depth_hwm.max(self.live.len());
-        EventToken(seq)
+        self.depth_hwm = self.depth_hwm.max(self.heap.len());
     }
 
-    /// Cancel a previously scheduled event. Returns `true` if the token
-    /// was live (not yet dispatched and not already cancelled).
-    ///
-    /// Cancelling an already-dispatched token is a silent no-op returning
-    /// `false`, so callers can keep stale tokens around safely.
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        if self.live.remove(&token.0) {
-            self.cancelled.insert(token.0);
-            true
-        } else {
-            false // never issued, already dispatched, or already cancelled
-        }
-    }
-
-    /// Pop the earliest live event, if any.
+    /// Pop the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue; // tombstone
-            }
-            self.live.remove(&entry.seq);
-            debug_assert!(entry.time >= self.last_popped, "non-monotone pop");
-            self.last_popped = entry.time;
-            self.popped_count += 1;
-            return Some((entry.time, entry.event));
-        }
-        // Heap drained: any remaining cancel marks are garbage.
-        self.cancelled.clear();
-        None
+        let entry = self.heap.pop()?;
+        debug_assert!(entry.time >= self.last_popped, "non-monotone pop");
+        self.last_popped = entry.time;
+        self.popped_count += 1;
+        Some((entry.time, entry.event))
     }
 
-    /// Time of the earliest live event without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Drop leading tombstones so peek is accurate.
-        while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = self.heap.pop().unwrap().seq;
-                self.cancelled.remove(&seq);
-            } else {
-                return Some(entry.time);
-            }
-        }
-        None
+    /// Time of the earliest event without removing it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.time)
     }
 
-    /// Number of live (non-cancelled) events still queued.
+    /// Number of events still queued.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Total number of events dispatched so far.
@@ -187,7 +138,7 @@ impl<E> EventQueue<E> {
         self.popped_count
     }
 
-    /// Most live (non-cancelled) events ever queued at once.
+    /// Most events ever queued at once.
     pub fn depth_high_water(&self) -> usize {
         self.depth_hwm
     }
@@ -233,36 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_event() {
-        let mut q = EventQueue::new();
-        let tok = q.push(t(10), "x");
-        q.push(t(20), "y");
-        assert!(q.cancel(tok));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((t(20), "y")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn cancel_is_idempotent_and_safe_after_dispatch() {
-        let mut q = EventQueue::new();
-        let tok = q.push(t(10), "x");
-        assert!(q.cancel(tok));
-        assert!(!q.cancel(tok), "second cancel reports dead token");
-        assert_eq!(q.pop(), None);
-
-        let tok2 = q.push(t(20), "y");
-        assert_eq!(q.pop(), Some((t(20), "y")));
-        assert!(!q.cancel(tok2), "cancel after dispatch is a no-op");
-    }
-
-    #[test]
-    fn cancel_foreign_token_rejected() {
-        let mut q: EventQueue<&str> = EventQueue::new();
-        assert!(!q.cancel(EventToken(99)));
-    }
-
-    #[test]
     #[should_panic(expected = "scheduled in the past")]
     fn scheduling_in_past_panics() {
         let mut q = EventQueue::new();
@@ -281,16 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_skips_tombstones() {
-        let mut q = EventQueue::new();
-        let tok = q.push(t(10), "x");
-        q.push(t(20), "y");
-        q.cancel(tok);
-        assert_eq!(q.peek_time(), Some(t(20)));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
     fn counters() {
         let mut q = EventQueue::new();
         q.push(t(1), ());
@@ -306,18 +217,20 @@ mod tests {
     }
 
     #[test]
-    fn depth_high_water_ignores_cancelled_backlog() {
+    fn depth_high_water_tracks_most_queued() {
         let mut q = EventQueue::new();
-        let a = q.push(t(1), ());
-        q.cancel(a);
+        q.push(t(1), ());
         q.push(t(2), ());
-        // The cancelled tombstone never counted toward live depth.
-        assert_eq!(q.depth_high_water(), 1);
+        q.pop();
         q.push(t(3), ());
+        // One pop freed a slot the next push refilled.
+        assert_eq!(q.depth_high_water(), 2);
         q.push(t(4), ());
         assert_eq!(q.depth_high_water(), 3);
+        assert_eq!(q.peek_time(), Some(t(2)));
         while q.pop().is_some() {}
         assert_eq!(q.depth_high_water(), 3, "draining does not reset the mark");
+        assert_eq!(q.peek_time(), None);
     }
 
     propcheck! {
@@ -338,31 +251,6 @@ mod tests {
                 }
                 last = Some((time, idx));
             }
-        }
-
-        /// Cancelled tokens never fire; everything else fires exactly once.
-        fn prop_cancellation(
-            times in collection::vec(0u64..1_000, 1..200),
-            cancel_mask in collection::vec(any::<bool>(), 1..200)
-        ) {
-            let mut q = EventQueue::new();
-            let mut tokens = Vec::new();
-            for (i, &ns) in times.iter().enumerate() {
-                tokens.push((i, q.push(t(ns), i)));
-            }
-            let mut cancelled = std::collections::HashSet::new();
-            for (i, &(idx, tok)) in tokens.iter().enumerate() {
-                if *cancel_mask.get(i % cancel_mask.len()).unwrap_or(&false) {
-                    q.cancel(tok);
-                    cancelled.insert(idx);
-                }
-            }
-            let mut fired = std::collections::HashSet::new();
-            while let Some((_, idx)) = q.pop() {
-                prop_assert!(!cancelled.contains(&idx), "cancelled event fired");
-                prop_assert!(fired.insert(idx), "event fired twice");
-            }
-            prop_assert_eq!(fired.len() + cancelled.len(), times.len());
         }
     }
 

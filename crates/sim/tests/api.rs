@@ -25,21 +25,6 @@ fn queue_interleaved_push_pop_monotone() {
 }
 
 #[test]
-fn queue_peek_after_mass_cancel() {
-    let mut q = EventQueue::new();
-    let tokens: Vec<_> = (0..100u64)
-        .map(|i| q.push(SimTime::from_nanos(i), i))
-        .collect();
-    for t in &tokens[..99] {
-        q.cancel(*t);
-    }
-    assert_eq!(q.peek_time(), Some(SimTime::from_nanos(99)));
-    assert_eq!(q.len(), 1);
-    assert_eq!(q.pop(), Some((SimTime::from_nanos(99), 99)));
-    assert_eq!(q.peek_time(), None);
-}
-
-#[test]
 fn time_round_trip_extremes() {
     let never = SimTime::NEVER;
     assert_eq!(never.saturating_add(SimDuration::from_secs(1)), never);
