@@ -12,12 +12,18 @@
 //!
 //! Cases: Table 1's W1–W4 × periodic/dynticks-idle/paratick at a 1 s
 //! horizon, one fig4 sequential-PARSEC cell and one fig6 fio cell
-//! (both modes each), at the CLI's default scale.
+//! (both modes each), at the CLI's default scale. Then one short cell
+//! per remaining random-duration sampler, so each draw site is pinned:
+//! a bounded-queue pipeline, a network-RPC service, sleeper, compute
+//! and barrier VMs, and four fio write jobs that overflow the device
+//! write cache (so the media write-latency draw runs).
 
 use paratick::prelude::*;
 use paratick_sim::{StableHasher, ToJson};
 use paratick_workloads::fio::{self, FioPattern, FioSpec};
-use paratick_workloads::{parsec, synthetic};
+use paratick_workloads::{
+    netrpc, parsec, pipeline, synthetic, BarrierLoop, ComputeThread, SleeperThread, ThreadModel,
+};
 
 /// `paratick table1`'s simulation seed.
 const TABLE1_SEED: u64 = 0x7AB1E1;
@@ -44,6 +50,12 @@ const PINNED: &[(&str, &str)] = &[
     ("fig6/fio/seqr-4k/dynticks", "3221fd7700418220"),
     ("fig4/dedup/paratick", "52a250b166ab2135"),
     ("fig6/fio/seqr-4k/paratick", "a8f41f7d61d14920"),
+    ("pipeline/paratick", "8d3338b16814d8f5"),
+    ("netrpc/nic-10g/paratick", "220208e2a340c9ec"),
+    ("sleepers/dynticks", "3f31762feba6da80"),
+    ("compute/paratick", "fa9abc86bb6159d3"),
+    ("barriers/dynticks", "ba22f31b90c53787"),
+    ("fio/seqwr-256kx4/virtio-cached/paratick", "b8fc6a0da4ba490f"),
 ];
 
 /// Digest of `m` with every host-clock field zeroed.
@@ -105,6 +117,111 @@ fn fig6(spec: FioSpec, mode: TickMode) -> Scenario {
         .seed(CELL_SEED)
 }
 
+/// A one-VM cell on the default host.
+fn cell(vcpus: u32, mode: TickMode, device: DeviceKind, workload: VmWorkload) -> Scenario {
+    let mut cfg = VmConfig::with_vcpus(vcpus).mode(mode).spanning(1);
+    cfg.device = device;
+    Scenario::new(HostConfig::default())
+        .vm(cfg, workload)
+        .seed(CELL_SEED)
+}
+
+fn threads_vm(name: &str, threads: Vec<Box<dyn ThreadModel>>, num_barriers: u32) -> VmWorkload {
+    VmWorkload {
+        name: name.into(),
+        threads,
+        num_locks: 1,
+        num_barriers,
+    }
+}
+
+fn pipeline_cell() -> Scenario {
+    let spec = pipeline::PipelineSpec {
+        items: 300,
+        ..Default::default()
+    };
+    cell(4, TickMode::Paratick, DeviceKind::SataSsd, pipeline::workload(spec))
+}
+
+fn netrpc_cell() -> Scenario {
+    let spec = netrpc::RpcSpec {
+        calls_per_worker: 200,
+        ..Default::default()
+    };
+    cell(4, TickMode::Paratick, DeviceKind::Nic10G, netrpc::workload(spec, 4))
+}
+
+/// Sleeps span several guest jiffies, so their jitter moves wakeups
+/// across tick boundaries (a sub-jiffy sleep always ends at the next
+/// tick, whatever was drawn).
+fn sleepers_cell() -> Scenario {
+    let threads = (0..3)
+        .map(|i| {
+            Box::new(SleeperThread::new(
+                format!("sleeper{i}"),
+                SimDuration::from_millis(10 + 2 * i),
+                0.5,
+                SimDuration::from_micros(20),
+                60,
+            )) as Box<dyn ThreadModel>
+        })
+        .collect();
+    cell(2, TickMode::DynticksIdle, DeviceKind::SataSsd, threads_vm("sleepers", threads, 0))
+}
+
+/// A compute thread's draws show only in how many segments it takes to
+/// spend its budget, so several threads make a changed draw visible.
+fn compute_cell() -> Scenario {
+    let threads = (0..6)
+        .map(|i| {
+            Box::new(ComputeThread::new(
+                format!("compute{i}"),
+                SimDuration::from_millis(20),
+                SimDuration::from_micros(150),
+                0.5,
+            )) as Box<dyn ThreadModel>
+        })
+        .collect();
+    cell(2, TickMode::Paratick, DeviceKind::SataSsd, threads_vm("compute", threads, 0))
+}
+
+fn barriers_cell() -> Scenario {
+    let threads = (0..3)
+        .map(|i| {
+            Box::new(BarrierLoop::new(
+                format!("phase{i}"),
+                120,
+                SimDuration::from_micros(200),
+                0.3,
+                0,
+            )) as Box<dyn ThreadModel>
+        })
+        .collect();
+    cell(2, TickMode::DynticksIdle, DeviceKind::SataSsd, threads_vm("barriers", threads, 1))
+}
+
+/// Sequential 256 KiB writes.
+fn fio_overflow_spec() -> FioSpec {
+    FioSpec::new(FioPattern::SeqWrite, 256 * 1024, 512 << 20)
+}
+
+/// Jobs of [`fio_overflow_cell`]: together they write several times
+/// faster than the cached virtio disk drains its write cache.
+const FIO_OVERFLOW_JOBS: u32 = 4;
+
+fn fio_overflow_cell() -> Scenario {
+    let spec = fio_overflow_spec();
+    let threads = (0..FIO_OVERFLOW_JOBS)
+        .flat_map(|_| fio::workload(&spec).threads)
+        .collect();
+    cell(
+        FIO_OVERFLOW_JOBS,
+        TickMode::Paratick,
+        DeviceKind::VirtioCached,
+        threads_vm(&spec.job_name(), threads, 0),
+    )
+}
+
 fn cases() -> Vec<(String, Scenario)> {
     let mut out = Vec::new();
     for w in 1..=4 {
@@ -125,6 +242,15 @@ fn cases() -> Vec<(String, Scenario)> {
         out.push((format!("fig4/dedup/{mode}"), fig4("dedup", mode)));
         out.push((format!("fig6/{}/{mode}", spec.job_name()), fig6(spec, mode)));
     }
+    out.push(("pipeline/paratick".into(), pipeline_cell()));
+    out.push(("netrpc/nic-10g/paratick".into(), netrpc_cell()));
+    out.push(("sleepers/dynticks".into(), sleepers_cell()));
+    out.push(("compute/paratick".into(), compute_cell()));
+    out.push(("barriers/dynticks".into(), barriers_cell()));
+    out.push((
+        format!("{}x4/virtio-cached/paratick", fio_overflow_spec().job_name()),
+        fio_overflow_cell(),
+    ));
     out
 }
 
@@ -149,6 +275,31 @@ fn run_metrics_match_pinned_digests() {
     assert_eq!(
         got, pinned,
         "RunMetrics outcomes changed; fresh digests:\n{table}"
+    );
+}
+
+/// The fio overflow cell really exercises the device's media write
+/// path: `cache_hits < writes` on its device. The device counters are not part of
+/// `RunMetrics`, so this bounds them instead. A write is a cache hit
+/// only if it fits in the free cache, and over the run the cache can
+/// absorb at most its size plus what drained in the meantime; so
+/// `cache_hits ≤ absorbable / block`, which must fall short of the
+/// job's write count.
+#[test]
+fn fio_overflow_cell_misses_the_write_cache() {
+    let spec = fio_overflow_spec();
+    let m = Engine::run(fio_overflow_cell()).unwrap();
+    assert!(m.audit.is_clean(), "{:?}", m.audit.violations);
+    let p = DeviceKind::VirtioCached.profile();
+    let run_ns = m.duration.as_nanos() as u128;
+    let absorbable =
+        p.write_cache_bytes as u128 + run_ns * p.cache_drain_bps as u128 / 1_000_000_000;
+    let max_cache_hits = absorbable / spec.block_size as u128;
+    let writes = (FIO_OVERFLOW_JOBS as u64 * spec.total_bytes / spec.block_size) as u128;
+    assert!(
+        max_cache_hits < writes,
+        "at most {max_cache_hits} of {writes} writes can hit the cache in {}",
+        m.duration
     );
 }
 
