@@ -41,7 +41,7 @@ use paratick_guest::{
     LockOutcome, ThreadId, TickMode, TimerAction, VirtualTickOutcome,
 };
 use paratick_hw::{BlockDevice, DeadlineWriteEffect, IoRequest, Vector};
-use paratick_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use paratick_sim::{EventQueue, Freq, SimDuration, SimRng, SimTime};
 use paratick_vmm::ple::Ple;
 use paratick_vmm::{
     hypercall, CostModel, CycleCategory, EventSink, ExitReason, FaultKind, FaultPlan,
@@ -194,16 +194,75 @@ enum PcpuMode {
     Guest { vm: u32, vcpu: u32 },
 }
 
+/// The run's constant costs as durations, converted once from the
+/// [`CostModel`] in `Engine::new` instead of once per event. Every value
+/// comes from the model's own `*_duration` method, so each is still
+/// defined in one place.
+#[derive(Clone, Debug, PartialEq)]
+struct CostTable {
+    cpu_freq: Freq,
+    direct: [SimDuration; ExitReason::COUNT],
+    indirect: [SimDuration; ExitReason::COUNT],
+    injection: SimDuration,
+    host_tick: SimDuration,
+    guest_tick_handler: SimDuration,
+    guest_irq_overhead: SimDuration,
+    idle_entry: SimDuration,
+    ctx_switch: SimDuration,
+    futex_fast: SimDuration,
+    spin_before_block: SimDuration,
+    /// PLE exits one spin-before-block episode triggers.
+    spin_ple_exits: u64,
+    io_submit: SimDuration,
+    io_irq: SimDuration,
+    context_tracking: SimDuration,
+    wakeup_local: SimDuration,
+    wakeup_cross_socket: SimDuration,
+}
+
+impl CostTable {
+    fn new(cost: &CostModel, ple: Ple) -> CostTable {
+        let spin_before_block = cost.spin_before_block_duration();
+        CostTable {
+            cpu_freq: cost.cpu_freq,
+            direct: ExitReason::ALL.map(|r| cost.direct_duration(r)),
+            indirect: ExitReason::ALL.map(|r| cost.indirect_duration(r)),
+            injection: cost.injection_duration(),
+            host_tick: cost.host_tick_duration(),
+            guest_tick_handler: cost.guest_tick_handler_duration(),
+            guest_irq_overhead: cost.guest_irq_overhead_duration(),
+            idle_entry: cost.idle_entry_duration(),
+            ctx_switch: cost.ctx_switch_duration(),
+            futex_fast: cost.futex_fast_duration(),
+            spin_before_block,
+            spin_ple_exits: ple
+                .exits_for_spin(cost.cpu_freq.duration_to_cycles(spin_before_block).get()),
+            io_submit: cost.io_submit_duration(),
+            io_irq: cost.io_irq_duration(),
+            context_tracking: cost.context_tracking_duration(),
+            wakeup_local: cost.wakeup_latency_for(false),
+            wakeup_cross_socket: cost.wakeup_latency_for(true),
+        }
+    }
+
+    fn wakeup_latency(&self, cross_socket: bool) -> SimDuration {
+        if cross_socket {
+            self.wakeup_cross_socket
+        } else {
+            self.wakeup_local
+        }
+    }
+}
+
 /// The assembled system simulator.
 pub struct Engine {
     queue: EventQueue<Ev>,
-    cost: CostModel,
+    cost: CostTable,
     paratick_host: ParatickHost,
     rate_adapt_enabled: bool,
     /// Background RCU-callback generation (off for calibration probes
     /// via PARATICK_NO_RCU=1).
     rcu_background: bool,
-    ple: Ple,
     halt_poll_enabled: bool,
     apicv: bool,
     host_hz_period: SimDuration,
@@ -266,6 +325,17 @@ impl Engine {
         let host = &scenario.host;
         let n_pcpus = host.num_pcpus() as usize;
         let cost = host.cost.clone();
+        if !(cost.numa_penalty.is_finite() && cost.numa_penalty >= 0.0) {
+            return Err(SimError::Config(format!(
+                "bad NUMA wakeup penalty {}",
+                cost.numa_penalty
+            )));
+        }
+        let ple = if host.ple {
+            Ple::kvm_default()
+        } else {
+            Ple::disabled()
+        };
         let pcpus: Vec<PCpu> = (0..n_pcpus)
             .map(|i| PCpu::new(PcpuId(i as u32), host.socket_of(i as u32), cost.cpu_freq))
             .collect();
@@ -363,11 +433,6 @@ impl Engine {
             paratick_host: ParatickHost::new(host.paratick_host),
             rate_adapt_enabled: host.paratick_rate_adapt,
             rcu_background: !env.no_rcu,
-            ple: if host.ple {
-                Ple::kvm_default()
-            } else {
-                Ple::disabled()
-            },
             halt_poll_enabled: host.halt_poll,
             apicv: host.apicv,
             host_hz_period: host.host_hz.period(),
@@ -388,7 +453,7 @@ impl Engine {
             audit: InvariantAuditor::new(),
             error: None,
             last_progress: SimTime::ZERO,
-            cost,
+            cost: CostTable::new(&cost, ple),
             sinks: obs::sinks_from_env(n_pcpus),
             prof_wall: obs::prof_wall_enabled(),
             prof_counts: [0; Ev::KIND_COUNT],
@@ -860,7 +925,7 @@ impl Engine {
             VcpuRunState::Halted | VcpuRunState::Runnable => {
                 let resume = self.host_touch_begin(p, t);
                 self.pcpus[p.0 as usize]
-                    .account(CycleCategory::HostOs, self.cost.host_tick_duration() / 2);
+                    .account(CycleCategory::HostOs, self.cost.host_tick / 2);
                 if self.vms[vm].vcpus[vcpu].state() == VcpuRunState::Halted {
                     self.wake_vcpu(vm, vcpu, false);
                 }
@@ -1228,8 +1293,8 @@ impl Engine {
         let p = self.vms[vm].vcpus[vcpu].affinity;
         let at = self.pcpus[p.0 as usize].frontier();
         self.vms[vm].vcpus[vcpu].record_exit(reason);
-        let mut direct = self.cost.direct_duration(reason);
-        let mut indirect = self.cost.indirect_duration(reason);
+        let mut direct = self.cost.direct[reason.index()];
+        let mut indirect = self.cost.indirect[reason.index()];
         if at < self.spike_until {
             // Inside an exit-cost spike fault window.
             direct = direct.mul_f64(self.spike_mult);
@@ -1269,7 +1334,7 @@ impl Engine {
                 InjectDecision::InjectVirtualTick => {
                     let now = self.pcpus[p.0 as usize].frontier();
                     self.pcpus[p.0 as usize]
-                        .account(CycleCategory::ExitHandling, self.cost.injection_duration());
+                        .account(CycleCategory::ExitHandling, self.cost.injection);
                     let v = &mut self.vms[vm].vcpus[vcpu];
                     v.last_tick = now;
                     v.lapic.request(Vector::PARATICK);
@@ -1287,7 +1352,7 @@ impl Engine {
             }
             // Injection work for the pending batch.
             self.pcpus[p.0 as usize]
-                .account(CycleCategory::ExitHandling, self.cost.injection_duration());
+                .account(CycleCategory::ExitHandling, self.cost.injection);
             if decision != InjectDecision::InjectVirtualTick {
                 self.vms[vm].vcpus[vcpu].record_injection(false);
                 let now = self.pcpus[p.0 as usize].frontier();
@@ -1321,7 +1386,7 @@ impl Engine {
             let p = self.vms[vm].vcpus[vcpu].affinity;
             self.pcpus[p.0 as usize].account(
                 CycleCategory::GuestOs,
-                self.cost.guest_irq_overhead_duration(),
+                self.cost.guest_irq_overhead,
             );
             match vec {
                 Vector::LOCAL_TIMER => self.handle_tick_irq(vm, vcpu),
@@ -1373,7 +1438,7 @@ impl Engine {
         let p = self.vms[vm].vcpus[vcpu].affinity;
         self.pcpus[p.0 as usize].account(
             CycleCategory::GuestOs,
-            self.cost.guest_tick_handler_duration(),
+            self.cost.guest_tick_handler,
         );
         let now = self.pcpus[p.0 as usize].frontier();
         let fired = self.vms[vm].kernel.run_tick_body(vcpu, now);
@@ -1387,7 +1452,7 @@ impl Engine {
                 SoftTimer::Housekeeping => {
                     self.pcpus[p.0 as usize].account(
                         CycleCategory::GuestOs,
-                        self.cost.guest_irq_overhead_duration(),
+                        self.cost.guest_irq_overhead,
                     );
                 }
             }
@@ -1403,7 +1468,7 @@ impl Engine {
             self.vms[vm].threads[prev.0 as usize].status = ThreadStatus::Ready;
             self.vms[vm].threads[next.0 as usize].status = ThreadStatus::Running;
             self.pcpus[p.0 as usize]
-                .account(CycleCategory::GuestOs, self.cost.ctx_switch_duration());
+                .account(CycleCategory::GuestOs, self.cost.ctx_switch);
         }
     }
 
@@ -1413,7 +1478,7 @@ impl Engine {
         let p = self.vms[vm].vcpus[vcpu].affinity;
         while let Some(tid) = self.vms[vm].io_ready.pop_front() {
             self.pcpus[p.0 as usize]
-                .account(CycleCategory::GuestOs, self.cost.io_irq_duration());
+                .account(CycleCategory::GuestOs, self.cost.io_irq);
             self.wake_thread(vm, ThreadId(tid), Some(vcpu));
         }
     }
@@ -1562,7 +1627,7 @@ impl Engine {
                     self.vms[vm].threads[t.0 as usize].status = ThreadStatus::Running;
                     let p = self.vms[vm].vcpus[vcpu].affinity;
                     self.pcpus[p.0 as usize]
-                        .account(CycleCategory::GuestOs, self.cost.ctx_switch_duration());
+                        .account(CycleCategory::GuestOs, self.cost.ctx_switch);
                 }
                 None => {
                     self.guest_idle(vm, vcpu);
@@ -1655,7 +1720,7 @@ impl Engine {
                     self.vms[vm].threads[ti].reacquire = None;
                 } else {
                     self.pcpus[p.0 as usize]
-                        .account(CycleCategory::GuestOs, self.cost.futex_fast_duration());
+                        .account(CycleCategory::GuestOs, self.cost.futex_fast);
                     match self.vms[vm].locks[lock as usize].lock(tid) {
                         LockOutcome::Acquired => {
                             self.vms[vm].threads[ti].reacquire = None;
@@ -1678,7 +1743,7 @@ impl Engine {
             {
                 self.pcpus[p.0 as usize].account(
                     CycleCategory::GuestOs,
-                    self.cost.context_tracking_duration(),
+                    self.cost.context_tracking,
                 );
             }
             match action {
@@ -1689,16 +1754,14 @@ impl Engine {
                 }
                 Action::Lock(id) => {
                     self.pcpus[p.0 as usize]
-                        .account(CycleCategory::GuestOs, self.cost.futex_fast_duration());
+                        .account(CycleCategory::GuestOs, self.cost.futex_fast);
                     match self.vms[vm].locks[id as usize].lock(tid) {
                         LockOutcome::Acquired => continue,
                         LockOutcome::Blocked => {
                             // Adaptive spin, then futex-wait.
-                            let spin = self.cost.spin_before_block_duration();
-                            self.pcpus[p.0 as usize].account(CycleCategory::GuestOs, spin);
-                            let spin_cycles =
-                                self.cost.cpu_freq.duration_to_cycles(spin).get();
-                            for _ in 0..self.ple.exits_for_spin(spin_cycles) {
+                            self.pcpus[p.0 as usize]
+                                .account(CycleCategory::GuestOs, self.cost.spin_before_block);
+                            for _ in 0..self.cost.spin_ple_exits {
                                 self.sync_exit(vm, vcpu, ExitReason::PauseLoop);
                             }
                             self.vms[vm].threads[ti].status = ThreadStatus::BlockedLock;
@@ -1709,7 +1772,7 @@ impl Engine {
                 }
                 Action::Unlock(id) => {
                     self.pcpus[p.0 as usize]
-                        .account(CycleCategory::GuestOs, self.cost.futex_fast_duration());
+                        .account(CycleCategory::GuestOs, self.cost.futex_fast);
                     if let Some(next) = self.vms[vm].locks[id as usize].unlock(tid) {
                         self.wake_thread(vm, next, Some(vcpu));
                     }
@@ -1717,7 +1780,7 @@ impl Engine {
                 }
                 Action::Barrier(id) => {
                     self.pcpus[p.0 as usize]
-                        .account(CycleCategory::GuestOs, self.cost.futex_fast_duration());
+                        .account(CycleCategory::GuestOs, self.cost.futex_fast);
                     match self.vms[vm].barriers[id as usize].arrive(tid) {
                         BarrierOutcome::Waiting => {
                             self.vms[vm].threads[ti].status = ThreadStatus::BlockedBarrier;
@@ -1734,7 +1797,7 @@ impl Engine {
                 }
                 Action::CondWait { cond, lock } => {
                     self.pcpus[p.0 as usize]
-                        .account(CycleCategory::GuestOs, self.cost.futex_fast_duration());
+                        .account(CycleCategory::GuestOs, self.cost.futex_fast);
                     let c = cond as usize;
                     if self.vms[vm].condvars.len() <= c {
                         self.vms[vm].condvars.resize_with(c + 1, GuestCondvar::new);
@@ -1751,7 +1814,7 @@ impl Engine {
                 }
                 Action::CondNotify { cond, all } => {
                     self.pcpus[p.0 as usize]
-                        .account(CycleCategory::GuestOs, self.cost.futex_fast_duration());
+                        .account(CycleCategory::GuestOs, self.cost.futex_fast);
                     let c = cond as usize;
                     if self.vms[vm].condvars.len() <= c {
                         self.vms[vm].condvars.resize_with(c + 1, GuestCondvar::new);
@@ -1768,7 +1831,7 @@ impl Engine {
                 }
                 Action::Io { op, offset, bytes } => {
                     self.pcpus[p.0 as usize]
-                        .account(CycleCategory::GuestOs, self.cost.io_submit_duration());
+                        .account(CycleCategory::GuestOs, self.cost.io_submit);
                     self.sync_exit(vm, vcpu, ExitReason::IoKick);
                     let now = self.pcpus[p.0 as usize].frontier();
                     let done =
@@ -1830,7 +1893,7 @@ impl Engine {
                 self.vms[vm].threads[next.0 as usize].status = ThreadStatus::Running;
                 let p = self.vms[vm].vcpus[vcpu].affinity;
                 self.pcpus[p.0 as usize]
-                    .account(CycleCategory::GuestOs, self.cost.ctx_switch_duration());
+                    .account(CycleCategory::GuestOs, self.cost.ctx_switch);
                 self.fetch_actions(vm, vcpu);
             }
             None => self.guest_idle(vm, vcpu),
@@ -1857,7 +1920,7 @@ impl Engine {
             // Migration: context switch plus cold-cache penalty.
             self.pcpus[p.0 as usize].account(
                 CycleCategory::GuestOs,
-                self.cost.ctx_switch_duration() * 2,
+                self.cost.ctx_switch * 2,
             );
             let rem = self.vms[vm].threads[stolen.0 as usize].seg_remaining;
             if rem.is_zero() {
@@ -1868,7 +1931,7 @@ impl Engine {
             return;
         }
         self.pcpus[p.0 as usize]
-            .account(CycleCategory::GuestOs, self.cost.idle_entry_duration());
+            .account(CycleCategory::GuestOs, self.cost.idle_entry);
         let now = self.pcpus[p.0 as usize].frontier();
         let armed = self.vms[vm].vcpus[vcpu].armed_timer_expiry();
         let ctx = self.vms[vm].kernel.idle_entry_ctx(vcpu, now, armed);
@@ -2002,7 +2065,7 @@ impl Engine {
             } else {
                 self.pcpus[p.0 as usize].account(
                     CycleCategory::HostOs,
-                    self.cost.wakeup_latency_for(cross_socket),
+                    self.cost.wakeup_latency(cross_socket),
                 );
             }
         }
@@ -2086,7 +2149,7 @@ impl Engine {
                 self.vms[vm].vcpus[vcpu].lapic.request(Vector::LOCAL_TIMER);
                 let resume = self.host_touch_begin(p, t);
                 self.pcpus[p.0 as usize]
-                    .account(CycleCategory::HostOs, self.cost.host_tick_duration() / 2);
+                    .account(CycleCategory::HostOs, self.cost.host_tick / 2);
                 if self.vms[vm].vcpus[vcpu].state() == VcpuRunState::Halted {
                     self.wake_vcpu(vm, vcpu, false);
                 }
@@ -2110,7 +2173,7 @@ impl Engine {
                 self.emit(t, SimEvent::HostTick { pcpu: p });
                 self.interrupt_running(vm, vcpu, t.max(self.pcpus[i].frontier()));
                 self.sync_exit(vm, vcpu, ExitReason::ExternalInterrupt);
-                self.pcpus[i].account(CycleCategory::HostOs, self.cost.host_tick_duration());
+                self.pcpus[i].account(CycleCategory::HostOs, self.cost.host_tick);
                 let now = self.pcpus[i].frontier();
                 if self.sched.is_contended(p)
                     && now.since(self.slice_start[i]) >= self.sched.slice()
@@ -2170,7 +2233,7 @@ impl Engine {
                 let p = self.vms[vm].vcpus[target].affinity;
                 let resume = self.host_touch_begin(p, t);
                 self.pcpus[p.0 as usize]
-                    .account(CycleCategory::HostOs, self.cost.host_tick_duration() / 2);
+                    .account(CycleCategory::HostOs, self.cost.host_tick / 2);
                 if self.vms[vm].vcpus[target].state() == VcpuRunState::Halted {
                     self.wake_vcpu(vm, target, false);
                 }
@@ -2297,5 +2360,62 @@ impl Engine {
             audit,
             faults: self.fault_stats,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn expected(cost: &CostModel, ple: Ple) -> CostTable {
+        let mut direct = [SimDuration::ZERO; ExitReason::COUNT];
+        let mut indirect = [SimDuration::ZERO; ExitReason::COUNT];
+        for r in ExitReason::ALL {
+            direct[r.index()] = cost.direct_duration(r);
+            indirect[r.index()] = cost.indirect_duration(r);
+        }
+        let spin_cycles = cost
+            .cpu_freq
+            .duration_to_cycles(cost.spin_before_block_duration())
+            .get();
+        CostTable {
+            cpu_freq: cost.cpu_freq,
+            direct,
+            indirect,
+            injection: cost.injection_duration(),
+            host_tick: cost.host_tick_duration(),
+            guest_tick_handler: cost.guest_tick_handler_duration(),
+            guest_irq_overhead: cost.guest_irq_overhead_duration(),
+            idle_entry: cost.idle_entry_duration(),
+            ctx_switch: cost.ctx_switch_duration(),
+            futex_fast: cost.futex_fast_duration(),
+            spin_before_block: cost.spin_before_block_duration(),
+            spin_ple_exits: ple.exits_for_spin(spin_cycles),
+            io_submit: cost.io_submit_duration(),
+            io_irq: cost.io_irq_duration(),
+            context_tracking: cost.context_tracking_duration(),
+            wakeup_local: cost.wakeup_latency_for(false),
+            wakeup_cross_socket: cost.wakeup_latency_for(true),
+        }
+    }
+
+    #[test]
+    fn cost_table_equals_cost_model_durations() {
+        let default = CostModel::default();
+        for cost in [default.clone(), default.scaled(0.5)] {
+            for ple in [Ple::disabled(), Ple::kvm_default()] {
+                let table = CostTable::new(&cost, ple);
+                assert_eq!(table, expected(&cost, ple));
+                assert_eq!(table.wakeup_latency(false), cost.wakeup_latency_for(false));
+                assert_eq!(table.wakeup_latency(true), cost.wakeup_latency_for(true));
+            }
+        }
+        // Spinning before a block is long enough to trip PLE when on.
+        assert!(CostTable::new(&default, Ple::kvm_default()).spin_ple_exits > 0);
+        assert_ne!(
+            CostTable::new(&default, Ple::disabled()).direct,
+            CostTable::new(&default.scaled(0.5), Ple::disabled()).direct,
+            "scaled exit costs reach the table"
+        );
     }
 }

@@ -60,6 +60,9 @@ pub struct GuestSched {
     rqs: Vec<RunQueue>,
     /// Last CPU each thread ran on (indexed by ThreadId).
     prev_cpu: Vec<usize>,
+    /// Threads waiting in any run queue (Σ `rq.waiting()`), so a
+    /// newly-idle CPU finds nothing to steal in O(1).
+    waiting: usize,
 }
 
 impl GuestSched {
@@ -70,6 +73,7 @@ impl GuestSched {
             // Threads start spread round-robin, as pthread creation does
             // in practice under CFS fork balancing.
             prev_cpu: (0..num_threads).map(|t| t % num_cpus).collect(),
+            waiting: 0,
         }
     }
 
@@ -79,6 +83,11 @@ impl GuestSched {
 
     pub fn rq(&self, cpu: usize) -> &RunQueue {
         &self.rqs[cpu]
+    }
+
+    /// Threads waiting in all run queues together.
+    pub fn waiting(&self) -> usize {
+        self.waiting
     }
 
     /// Register an additional thread (spawn); returns its id.
@@ -107,6 +116,7 @@ impl GuestSched {
         let was_idle = self.rqs[cpu].is_idle();
         self.prev_cpu[t.0 as usize] = cpu;
         self.rqs[cpu].queue.push_back(t);
+        self.waiting += 1;
         Placement {
             cpu,
             needs_kick: was_idle,
@@ -118,6 +128,7 @@ impl GuestSched {
         let was_idle = self.rqs[cpu].is_idle();
         self.prev_cpu[t.0 as usize] = cpu;
         self.rqs[cpu].queue.push_back(t);
+        self.waiting += 1;
         Placement {
             cpu,
             needs_kick: was_idle,
@@ -131,6 +142,7 @@ impl GuestSched {
         assert!(rq.current.is_none(), "pick_next with a current thread");
         let t = rq.queue.pop_front()?;
         rq.current = Some(t);
+        self.waiting -= 1;
         self.prev_cpu[t.0 as usize] = cpu;
         Some(t)
     }
@@ -148,6 +160,7 @@ impl GuestSched {
     pub fn yield_current(&mut self, cpu: usize) -> ThreadId {
         let t = self.block_current(cpu);
         self.rqs[cpu].queue.push_back(t);
+        self.waiting += 1;
         t
     }
 
@@ -162,6 +175,9 @@ impl GuestSched {
     /// Returns the stolen thread, already installed as `cpu`'s current.
     pub fn steal_for(&mut self, cpu: usize) -> Option<ThreadId> {
         debug_assert!(self.rqs[cpu].is_idle(), "steal_for on a busy CPU");
+        if self.waiting == 0 {
+            return None;
+        }
         let victim = self
             .rqs
             .iter()
@@ -170,6 +186,7 @@ impl GuestSched {
             .max_by_key(|(i, rq)| (rq.waiting(), usize::MAX - i))?
             .0;
         let t = self.rqs[victim].queue.pop_front().expect("victim has waiters");
+        self.waiting -= 1;
         self.prev_cpu[t.0 as usize] = cpu;
         self.rqs[cpu].current = Some(t);
         Some(t)

@@ -1,6 +1,7 @@
 //! Property tests of the guest scheduler: under arbitrary sequences of
-//! wake / pick / block / yield / steal operations, every thread is in
-//! exactly one place and none is lost.
+//! wake / enqueue / pick / block / yield / steal operations, every thread is in
+//! exactly one place and none is lost, and the scheduler's count of
+//! waiting threads equals the run queues' total.
 
 use paratick_guest::{GuestSched, ThreadId};
 use paratick_sim::propcheck::prelude::*;
@@ -9,6 +10,7 @@ use std::collections::HashSet;
 #[derive(Clone, Debug)]
 enum Op {
     Wake(u8),
+    Enqueue(u8, u8),
     Pick(u8),
     Block(u8),
     Yield(u8),
@@ -18,6 +20,7 @@ enum Op {
 fn op(n_threads: u8, n_cpus: u8) -> impl Strategy<Value = Op> {
     prop_oneof![
         (0..n_threads).prop_map(Op::Wake),
+        (0..n_threads, 0..n_cpus).prop_map(|(t, c)| Op::Enqueue(t, c)),
         (0..n_cpus).prop_map(Op::Pick),
         (0..n_cpus).prop_map(Op::Block),
         (0..n_cpus).prop_map(Op::Yield),
@@ -53,6 +56,13 @@ propcheck! {
                     let t = t as usize;
                     if state[t] == Where::Blocked {
                         s.wake(ThreadId(t as u32));
+                        state[t] = Where::Scheduled;
+                    }
+                }
+                Op::Enqueue(t, c) => {
+                    let t = t as usize;
+                    if state[t] == Where::Blocked {
+                        s.enqueue_on(ThreadId(t as u32), c as usize);
                         state[t] = Where::Scheduled;
                     }
                 }
@@ -95,6 +105,8 @@ propcheck! {
                 }
                 on_cpu += s.rq(c).waiting();
             }
+            let queued: usize = (0..N_CPUS).map(|c| s.rq(c).waiting()).sum();
+            prop_assert_eq!(s.waiting(), queued, "waiting counter drifted from the run queues");
             let scheduled = state.iter().filter(|w| **w == Where::Scheduled).count();
             prop_assert_eq!(on_cpu, scheduled, "thread count drifted");
             for (i, w) in state.iter().enumerate() {

@@ -15,7 +15,7 @@
 //! SSD; `DeviceKind::NvmeSsd` exists for the "benefits grow with faster
 //! devices" extrapolation the paper makes in its conclusion.
 
-use paratick_sim::{SimDuration, SimRng, SimTime};
+use paratick_sim::{LogNormal, SimDuration, SimRng, SimTime};
 
 /// I/O operation direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -181,6 +181,9 @@ impl paratick_sim::StableHash for DeviceKind {
 pub struct BlockDevice {
     kind: DeviceKind,
     profile: DeviceProfile,
+    /// Media read and write latency samplers, built from `profile`.
+    read_latency: LogNormal,
+    write_latency: LogNormal,
     /// Per-channel busy-until instants (requests queue within a channel).
     busy_until: Vec<SimTime>,
     /// Current write-cache occupancy in bytes.
@@ -198,10 +201,22 @@ pub struct BlockDevice {
 
 impl BlockDevice {
     pub fn new(kind: DeviceKind) -> Self {
-        let profile = kind.profile();
+        Self::with_profile(kind, kind.profile())
+    }
+
+    /// Override the timing profile (for calibration experiments).
+    pub fn with_profile(kind: DeviceKind, profile: DeviceProfile) -> Self {
         BlockDevice {
             kind,
             busy_until: vec![SimTime::ZERO; profile.parallelism.max(1) as usize],
+            read_latency: LogNormal::new(
+                profile.read_latency_ns as f64,
+                profile.read_jitter_ns as f64,
+            ),
+            write_latency: LogNormal::new(
+                profile.write_latency_ns as f64,
+                profile.write_latency_ns as f64 / 3.0,
+            ),
             profile,
             cache_fill: 0,
             cache_accounted: SimTime::ZERO,
@@ -212,14 +227,6 @@ impl BlockDevice {
             bytes_written: 0,
             cache_hits: 0,
         }
-    }
-
-    /// Override the timing profile (for calibration experiments).
-    pub fn with_profile(kind: DeviceKind, profile: DeviceProfile) -> Self {
-        let mut d = Self::new(kind);
-        d.busy_until = vec![SimTime::ZERO; profile.parallelism.max(1) as usize];
-        d.profile = profile;
-        d
     }
 
     pub fn kind(&self) -> DeviceKind {
@@ -243,8 +250,7 @@ impl BlockDevice {
             IoOp::Read => {
                 self.reads += 1;
                 self.bytes_read += req.bytes;
-                let base =
-                    rng.lognormal(p.read_latency_ns as f64, p.read_jitter_ns as f64) as u64;
+                let base = self.read_latency.sample(rng) as u64;
                 let seek = if sequential { 0 } else { p.random_penalty_ns };
                 SimDuration::from_nanos(base + seek) + transfer
             }
@@ -259,9 +265,7 @@ impl BlockDevice {
                     SimDuration::from_nanos(p.write_cache_ack_ns) + transfer
                 } else {
                     // Cache full: pay the media path (plus seek if random).
-                    let base = rng
-                        .lognormal(p.write_latency_ns as f64, p.write_latency_ns as f64 / 3.0)
-                        as u64;
+                    let base = self.write_latency.sample(rng) as u64;
                     let seek = if sequential { 0 } else { p.random_penalty_ns };
                     SimDuration::from_nanos(base + seek) + transfer
                 }

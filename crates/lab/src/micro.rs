@@ -15,7 +15,7 @@
 use crate::perf::BenchSummary;
 use paratick_guest::timer_wheel::TimerWheel;
 use paratick_sim::stats::Samples;
-use paratick_sim::{EventQueue, Histogram, SimRng, SimTime};
+use paratick_sim::{EventQueue, Histogram, LogNormal, SimDuration, SimRng, SimTime};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -90,6 +90,26 @@ pub fn run_micro(runs: u32) -> MicroReport {
         black_box(&q);
     }));
 
+    // Hold model: pop the earliest event, push its follow-up. Half the
+    // follow-ups are zero-delay, so they land ahead of everything queued
+    // (the engine's common case); the rest go a pseudo-random way out.
+    let mut hold = EventQueue::<u64>::new();
+    for i in 0..128u64 {
+        hold.push(SimTime::from_nanos(i * 7_919 % 20_000), i);
+    }
+    entries.push(measure("event_queue/hold_1k", 1_000, runs, || {
+        for i in 0..1_000u64 {
+            let (now, e) = hold.pop().expect("a hold model never drains");
+            let delay = if i % 2 == 0 {
+                0
+            } else {
+                (e * 7_919 + i) % 20_000
+            };
+            hold.push(now + SimDuration::from_nanos(delay), e);
+        }
+        black_box(&hold);
+    }));
+
     entries.push(measure("timer_wheel/insert_advance_10k", 10_000, runs, || {
         let mut w = TimerWheel::<u32>::new();
         for i in 0..10_000u64 {
@@ -118,10 +138,11 @@ pub fn run_micro(runs: u32) -> MicroReport {
     }));
 
     let mut rng = SimRng::new(2);
+    let lognormal = LogNormal::new(100.0, 50.0);
     entries.push(measure("rng/lognormal_1k", 1_000, runs, || {
         let mut acc = 0.0f64;
         for _ in 0..1_000 {
-            acc += rng.lognormal(100.0, 50.0);
+            acc += lognormal.sample(&mut rng);
         }
         black_box(acc);
     }));
@@ -149,6 +170,7 @@ mod tests {
             names,
             vec![
                 "event_queue/push_pop_10k_fifo",
+                "event_queue/hold_1k",
                 "timer_wheel/insert_advance_10k",
                 "timer_wheel/next_fire_under_load",
                 "rng/xoshiro_u64_1k",

@@ -51,7 +51,7 @@ pub use hash::{stable_digest_hex, StableHash, StableHasher};
 pub use histogram::Histogram;
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use queue::EventQueue;
-pub use rng::SimRng;
+pub use rng::{LogNormal, SimRng};
 pub use stats::{Counter, RateMeter, Summary};
 pub use time::{Cycles, Freq, SimDuration, SimTime};
 pub use trace::{TraceBuffer, TraceRecord};

@@ -11,7 +11,12 @@
 //! interesting instant" stamps each event with a generation counter it
 //! owns and bumps the counter on reschedule; when a superseded event
 //! reaches the top of the heap, its handler sees the stale generation
-//! and ignores it. The queue itself stays a plain heap.
+//! and ignores it, so the queue keeps no cancel bookkeeping.
+//!
+//! One entry may wait outside the heap, in a front slot: an event pushed
+//! ahead of everything already queued (typically a zero-delay follow-up
+//! of the event being handled) is popped straight back without a heap
+//! sift in either direction.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -63,6 +68,8 @@ impl<E> PartialOrd for Entry<E> {
 /// assert_eq!(fired, [SimTime::from_micros(9)]);
 /// ```
 pub struct EventQueue<E> {
+    /// An entry that sorts before everything in `heap`, kept out of it.
+    front: Option<Entry<E>>,
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     /// Time of the most recently popped event; pops are monotone.
@@ -85,6 +92,7 @@ impl<E> EventQueue<E> {
 
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
+            front: None,
             heap: BinaryHeap::with_capacity(cap),
             next_seq: 0,
             last_popped: SimTime::ZERO,
@@ -106,13 +114,29 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { time, seq, event });
-        self.depth_hwm = self.depth_hwm.max(self.heap.len());
+        let entry = Entry { time, seq, event };
+        // The newest entry has the largest sequence number, so it sorts
+        // first exactly when its time is strictly earlier.
+        let ahead = match &self.front {
+            Some(f) => time < f.time,
+            None => self.heap.peek().is_none_or(|top| time < top.time),
+        };
+        if ahead {
+            if let Some(displaced) = self.front.replace(entry) {
+                self.heap.push(displaced);
+            }
+        } else {
+            self.heap.push(entry);
+        }
+        self.depth_hwm = self.depth_hwm.max(self.len());
     }
 
     /// Pop the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
+        let entry = match self.front.take() {
+            Some(f) => f,
+            None => self.heap.pop()?,
+        };
         debug_assert!(entry.time >= self.last_popped, "non-monotone pop");
         self.last_popped = entry.time;
         self.popped_count += 1;
@@ -121,16 +145,19 @@ impl<E> EventQueue<E> {
 
     /// Time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.front
+            .as_ref()
+            .or_else(|| self.heap.peek())
+            .map(|e| e.time)
     }
 
     /// Number of events still queued.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + usize::from(self.front.is_some())
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.front.is_none() && self.heap.is_empty()
     }
 
     /// Total number of events dispatched so far.
@@ -154,7 +181,7 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
     use crate::propcheck::prelude::*;
-    use crate::time::SimTime;
+    use crate::time::{SimDuration, SimTime};
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -252,6 +279,85 @@ mod tests {
                 last = Some((time, idx));
             }
         }
+    }
+
+    #[derive(Clone, Debug)]
+    enum QOp {
+        /// Push at `now + delay` (0 = at the current instant).
+        Push(u64),
+        Pop,
+        Peek,
+    }
+
+    fn qop() -> impl Strategy<Value = QOp> {
+        prop_oneof![
+            (0u64..4).prop_map(QOp::Push),
+            (0u64..50).prop_map(QOp::Push),
+            Just(QOp::Pop),
+            Just(QOp::Pop),
+            Just(QOp::Peek),
+        ]
+    }
+
+    propcheck! {
+        /// The queue (front slot included) is observably a list sorted
+        /// by `(time, seq)`: every pop, peek, `len`, `is_empty`,
+        /// `depth_high_water`, `dispatched` and `now` agree with that
+        /// reference model under arbitrary interleavings, with equal
+        /// times and pushes at `now()` included.
+        fn prop_matches_sorted_reference(ops in collection::vec(qop(), 1..300)) {
+            let mut q = EventQueue::new();
+            // (time, seq, payload); the payload is the seq itself.
+            let mut model: Vec<(SimTime, u64)> = Vec::new();
+            let (mut seq, mut hwm, mut popped) = (0u64, 0usize, 0u64);
+            let mut now = SimTime::ZERO;
+            for op in ops {
+                match op {
+                    QOp::Push(delay) => {
+                        let at = now + SimDuration::from_nanos(delay);
+                        q.push(at, seq);
+                        model.push((at, seq));
+                        seq += 1;
+                        hwm = hwm.max(model.len());
+                    }
+                    QOp::Pop => {
+                        let want = model
+                            .iter()
+                            .enumerate()
+                            .min_by_key(|(_, e)| **e)
+                            .map(|(i, _)| i)
+                            .map(|i| model.remove(i));
+                        if let Some((t, _)) = want {
+                            now = t;
+                            popped += 1;
+                        }
+                        prop_assert_eq!(q.pop(), want);
+                    }
+                    QOp::Peek => {
+                        prop_assert_eq!(q.peek_time(), model.iter().min().map(|e| e.0));
+                    }
+                }
+                prop_assert_eq!(q.len(), model.len());
+                prop_assert_eq!(q.is_empty(), model.is_empty());
+                prop_assert_eq!(q.depth_high_water(), hwm);
+                prop_assert_eq!(q.dispatched(), popped);
+                prop_assert_eq!(q.now(), now);
+            }
+        }
+    }
+
+    #[test]
+    fn front_slot_is_displaced_by_an_earlier_push() {
+        let mut q = EventQueue::new();
+        q.push(t(10), "heap");
+        q.push(t(5), "front");
+        q.push(t(2), "earlier");
+        q.push(t(5), "tie");
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.peek_time(), Some(t(2)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["earlier", "front", "tie", "heap"]);
+        assert_eq!(q.depth_high_water(), 4);
     }
 
     /// Budget canary: this suite's propcheck configuration really

@@ -36,6 +36,50 @@ pub fn seed_stream(base: u64, index: u64) -> u64 {
     splitmix64(&mut s)
 }
 
+/// A lognormal distribution parameterized by the *target* mean and sd
+/// of its variates (not of the underlying normal). Used for I/O service
+/// times and compute segments, which are right-skewed.
+///
+/// Building it does the `ln`/`sqrt` work; [`sample`](Self::sample)
+/// does one normal draw and one `exp`. A model whose parameters are
+/// fixed builds its sampler once and reuses it for every draw.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LogNormal {
+    mu: f64,
+    sigma: f64,
+    /// `sd == 0`: every variate is exactly the mean, and sampling draws
+    /// nothing from the generator.
+    point: Option<f64>,
+}
+
+impl LogNormal {
+    pub fn new(mean: f64, sd: f64) -> Self {
+        assert!(mean > 0.0, "lognormal: non-positive mean");
+        if sd == 0.0 {
+            return LogNormal {
+                mu: 0.0,
+                sigma: 0.0,
+                point: Some(mean),
+            };
+        }
+        let cv2 = (sd / mean).powi(2);
+        let sigma2 = (1.0 + cv2).ln();
+        LogNormal {
+            mu: mean.ln() - sigma2 / 2.0,
+            sigma: sigma2.sqrt(),
+            point: None,
+        }
+    }
+
+    #[inline]
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+        match self.point {
+            Some(mean) => mean,
+            None => (self.mu + self.sigma * rng.standard_normal()).exp(),
+        }
+    }
+}
+
 /// xoshiro256++ deterministic PRNG.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimRng {
@@ -160,17 +204,10 @@ impl SimRng {
     }
 
     /// Lognormal variate parameterized by the *target* mean and sd of the
-    /// resulting distribution (not of the underlying normal). Used for
-    /// I/O service times, which are right-skewed.
+    /// resulting distribution (not of the underlying normal). Models that
+    /// draw with fixed parameters build a [`LogNormal`] once instead.
     pub fn lognormal(&mut self, mean: f64, sd: f64) -> f64 {
-        assert!(mean > 0.0, "lognormal: non-positive mean");
-        if sd == 0.0 {
-            return mean;
-        }
-        let cv2 = (sd / mean).powi(2);
-        let sigma2 = (1.0 + cv2).ln();
-        let mu = mean.ln() - sigma2 / 2.0;
-        (mu + sigma2.sqrt() * self.standard_normal()).exp()
+        LogNormal::new(mean, sd).sample(self)
     }
 
     /// Bounded Pareto variate with shape `alpha` on `[lo, hi]`. Used for
@@ -203,6 +240,7 @@ impl SimRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::propcheck::prelude::*;
 
     #[test]
     fn deterministic_from_seed() {
@@ -341,6 +379,56 @@ mod tests {
     fn lognormal_zero_sd_degenerate() {
         let mut r = SimRng::new(9);
         assert_eq!(r.lognormal(5.0, 0.0), 5.0);
+        let before = r.clone();
+        assert_eq!(LogNormal::new(5.0, 0.0).sample(&mut r), 5.0);
+        assert_eq!(r, before, "a point mass draws nothing");
+    }
+
+    /// The per-draw formula `LogNormal` replaced, frozen here as the
+    /// reference its samples must reproduce bit for bit.
+    fn lognormal_reference(rng: &mut SimRng, mean: f64, sd: f64) -> f64 {
+        if sd == 0.0 {
+            return mean;
+        }
+        let cv2 = (sd / mean).powi(2);
+        let sigma2 = (1.0 + cv2).ln();
+        let mu = mean.ln() - sigma2 / 2.0;
+        (mu + sigma2.sqrt() * rng.standard_normal()).exp()
+    }
+
+    fn lognormal_params() -> impl Strategy<Value = (f64, f64)> {
+        prop_oneof![
+            (1e-3f64..1e9, 0.0f64..4.0).prop_map(|(m, cv)| (m, m * cv)),
+            (1e-3f64..1e9).prop_map(|m| (m, 0.0)),
+            (1e-3f64..1e9, 0.0f64..1e-9).prop_map(|(m, cv)| (m, m * cv)),
+        ]
+    }
+
+    propcheck! {
+        /// A prebuilt `LogNormal` returns exactly the reference formula's
+        /// variates and leaves the generator at the same stream position
+        /// (spare normal included), for any parameters and draw count.
+        fn prop_lognormal_matches_reference(
+            params in collection::vec(lognormal_params(), 1..6),
+            seed in any::<u64>(),
+            draws in 1usize..40,
+        ) {
+            let mut a = SimRng::new(seed);
+            let mut b = SimRng::new(seed);
+            let dists: Vec<LogNormal> =
+                params.iter().map(|&(m, sd)| LogNormal::new(m, sd)).collect();
+            for i in 0..draws {
+                let k = i % params.len();
+                let (m, sd) = params[k];
+                let got = dists[k].sample(&mut a);
+                let want = lognormal_reference(&mut b, m, sd);
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "draw {i} of {:?}", params[k]);
+                prop_assert!(a == b, "stream position diverged at draw {i}");
+                // The per-call wrapper is the same sampler.
+                let (got, want) = (a.lognormal(m, sd), lognormal_reference(&mut b, m, sd));
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
+        }
     }
 
     #[test]

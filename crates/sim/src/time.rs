@@ -242,21 +242,39 @@ impl Freq {
     }
 
     /// Time needed to retire `c` cycles at this frequency, rounded up
-    /// (work never completes early).
+    /// (work never completes early). Saturates at `u64::MAX` ns.
     ///
-    /// Computed in u128 to avoid overflow for large cycle counts.
+    /// Exact without 128-bit division: with `c = q·f + r` and `r < f`,
+    /// `⌈c·10⁹/f⌉ = q·10⁹ + ⌈r·10⁹/f⌉`, and `r·10⁹` fits in 64 bits for
+    /// any clock up to ~18.4 GHz.
     #[inline]
     pub fn cycles_to_duration(self, c: Cycles) -> SimDuration {
-        let ns = (c.0 as u128 * NANOS_PER_SEC as u128).div_ceil(self.0 as u128);
-        SimDuration(u64::try_from(ns).unwrap_or(u64::MAX))
+        let f = self.0;
+        let ns = match (c.0 % f).checked_mul(NANOS_PER_SEC) {
+            Some(r_ns) => (c.0 / f)
+                .checked_mul(NANOS_PER_SEC)
+                .and_then(|q_ns| q_ns.checked_add(r_ns.div_ceil(f))),
+            None => u64::try_from((c.0 as u128 * NANOS_PER_SEC as u128).div_ceil(f as u128)).ok(),
+        };
+        SimDuration(ns.unwrap_or(u64::MAX))
     }
 
     /// Cycles retired in `d` at this frequency, rounded down (a partial
-    /// cycle does no useful work).
+    /// cycle does no useful work). Saturates at `u64::MAX` cycles.
+    ///
+    /// Exact without 128-bit division: with `d = q·10⁹ + r` and
+    /// `r < 10⁹`, `⌊d·f/10⁹⌋ = q·f + ⌊r·f/10⁹⌋`, and `r·f` fits in 64
+    /// bits for any clock up to ~18.4 GHz.
     #[inline]
     pub fn duration_to_cycles(self, d: SimDuration) -> Cycles {
-        let c = d.0 as u128 * self.0 as u128 / NANOS_PER_SEC as u128;
-        Cycles(u64::try_from(c).unwrap_or(u64::MAX))
+        let f = self.0;
+        let c = match (d.0 % NANOS_PER_SEC).checked_mul(f) {
+            Some(r_f) => (d.0 / NANOS_PER_SEC)
+                .checked_mul(f)
+                .and_then(|q_f| q_f.checked_add(r_f / NANOS_PER_SEC)),
+            None => u64::try_from(d.0 as u128 * f as u128 / NANOS_PER_SEC as u128).ok(),
+        };
+        Cycles(c.unwrap_or(u64::MAX))
     }
 }
 
@@ -516,6 +534,7 @@ impl StableHash for Freq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::propcheck::prelude::*;
 
     #[test]
     fn construction_and_accessors() {
@@ -608,6 +627,57 @@ mod tests {
         // Must not panic.
         let d = f.cycles_to_duration(big);
         assert!(d.as_nanos() > 0);
+    }
+
+    /// The 128-bit formulas the 64-bit conversions must reproduce.
+    fn cycles_to_ns_reference(f: u64, c: u64) -> u64 {
+        let ns = (c as u128 * NANOS_PER_SEC as u128).div_ceil(f as u128);
+        u64::try_from(ns).unwrap_or(u64::MAX)
+    }
+
+    fn ns_to_cycles_reference(f: u64, d: u64) -> u64 {
+        let c = d as u128 * f as u128 / NANOS_PER_SEC as u128;
+        u64::try_from(c).unwrap_or(u64::MAX)
+    }
+
+    #[test]
+    fn conversions_saturate_and_handle_extreme_clocks() {
+        // 18_446_744_073 Hz is the last clock whose remainder products
+        // fit in 64 bits; the next one takes the 128-bit path.
+        let clocks = [1, 999_999_999, NANOS_PER_SEC, 2_500_000_000, 18_446_744_073, 18_446_744_074];
+        let values = [0, 1, NANOS_PER_SEC - 1, 7_400_000_000, u64::MAX / 3, u64::MAX];
+        for f in clocks.into_iter().chain([u64::MAX]) {
+            let fr = Freq::hz(f);
+            for v in values {
+                let (c2d, d2c) = (cycles_to_ns_reference(f, v), ns_to_cycles_reference(f, v));
+                assert_eq!(fr.cycles_to_duration(Cycles(v)).0, c2d, "f={f} c={v}");
+                assert_eq!(fr.duration_to_cycles(SimDuration(v)).0, d2c, "f={f} d={v}");
+            }
+        }
+        let saturated = Freq::ghz(10).duration_to_cycles(SimDuration(u64::MAX));
+        assert_eq!(saturated.0, u64::MAX);
+        assert_eq!(Freq::hz(1).cycles_to_duration(Cycles(u64::MAX)).0, u64::MAX);
+    }
+
+    /// Values spread over every magnitude, so both small counts and the
+    /// saturating range are drawn.
+    fn magnitude() -> impl Strategy<Value = u64> {
+        (0u32..64, any::<u64>()).prop_map(|(bits, x)| x >> bits)
+    }
+
+    propcheck! {
+        /// `cycles_to_duration` and `duration_to_cycles` equal the 128-bit
+        /// reference for clocks from 1 Hz to 10 GHz, durations past the
+        /// 7.4 s point where `d·f` leaves 64 bits at 2.5 GHz, and values
+        /// up to saturation.
+        fn prop_conversions_match_u128_reference(
+            f in prop_oneof![1u64..=10_000_000_000, 1u64..=10_000, Just(2_500_000_000u64)],
+            v in prop_oneof![magnitude(), 7_000_000_000u64..20_000_000_000],
+        ) {
+            let fr = Freq::hz(f);
+            prop_assert_eq!(fr.cycles_to_duration(Cycles(v)).0, cycles_to_ns_reference(f, v));
+            prop_assert_eq!(fr.duration_to_cycles(SimDuration(v)).0, ns_to_cycles_reference(f, v));
+        }
     }
 
     #[test]

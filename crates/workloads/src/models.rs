@@ -6,17 +6,51 @@
 
 use crate::action::{Action, ThreadModel};
 use paratick_hw::IoOp;
-use paratick_sim::{SimDuration, SimRng, StableHash, StableHasher};
+use paratick_sim::{LogNormal, SimDuration, SimRng, StableHash, StableHasher};
 
-/// Draw a jittered duration with the given mean and coefficient of
-/// variation (lognormal, so always positive and right-skewed like real
-/// compute phases). `cv == 0` is deterministic.
-fn jittered(rng: &mut SimRng, mean: SimDuration, cv: f64) -> SimDuration {
-    if cv <= 0.0 || mean.is_zero() {
-        return mean;
+/// Jittered durations with a fixed mean and coefficient of variation
+/// (lognormal, so always positive and right-skewed like real compute
+/// phases). A `cv <= 0` or a zero mean is deterministic and draws
+/// nothing.
+///
+/// The lognormal sampler is built on the first draw and reused for the
+/// rest of the run. Not at construction: scenarios are also built just
+/// to fingerprint them for the run cache, and those models never draw.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Jitter {
+    mean: SimDuration,
+    cv: f64,
+    dist: Option<LogNormal>,
+}
+
+impl Jitter {
+    pub(crate) fn new(mean: SimDuration, cv: f64) -> Self {
+        Jitter {
+            mean,
+            cv,
+            dist: None,
+        }
     }
-    let m = mean.as_nanos() as f64;
-    SimDuration::from_nanos(rng.lognormal(m, m * cv).max(1.0) as u64)
+
+    pub(crate) fn mean(&self) -> SimDuration {
+        self.mean
+    }
+
+    #[inline]
+    pub(crate) fn sample(&mut self, rng: &mut SimRng) -> SimDuration {
+        if self.cv <= 0.0 || self.mean.is_zero() {
+            return self.mean;
+        }
+        let (m, cv) = (self.mean.as_nanos() as f64, self.cv);
+        let dist = self.dist.get_or_insert_with(|| LogNormal::new(m, m * cv));
+        SimDuration::from_nanos(dist.sample(rng).max(1.0) as u64)
+    }
+
+    /// The mean, then the cv, as model fingerprints record them.
+    pub(crate) fn fingerprint(&self, h: &mut StableHasher) {
+        self.mean.stable_hash(h);
+        h.write_f64(self.cv);
+    }
 }
 
 /// Pure computation in jittered segments until a work budget is spent.
@@ -24,8 +58,7 @@ fn jittered(rng: &mut SimRng, mean: SimDuration, cv: f64) -> SimDuration {
 pub struct ComputeThread {
     label: String,
     remaining: SimDuration,
-    grain: SimDuration,
-    grain_cv: f64,
+    grain: Jitter,
 }
 
 impl ComputeThread {
@@ -34,8 +67,7 @@ impl ComputeThread {
         ComputeThread {
             label: label.into(),
             remaining: work,
-            grain,
-            grain_cv: cv,
+            grain: Jitter::new(grain, cv),
         }
     }
 }
@@ -45,7 +77,7 @@ impl ThreadModel for ComputeThread {
         if self.remaining.is_zero() {
             return Action::Done;
         }
-        let seg = jittered(rng, self.grain, self.grain_cv).min_of(self.remaining);
+        let seg = self.grain.sample(rng).min_of(self.remaining);
         self.remaining -= seg;
         Action::Compute(seg)
     }
@@ -58,8 +90,7 @@ impl ThreadModel for ComputeThread {
         h.write_str("compute");
         h.write_str(&self.label);
         self.remaining.stable_hash(h);
-        self.grain.stable_hash(h);
-        h.write_f64(self.grain_cv);
+        self.grain.fingerprint(h);
     }
 }
 
@@ -68,9 +99,9 @@ impl ThreadModel for ComputeThread {
 pub struct LockLoop {
     label: String,
     remaining: SimDuration,
-    grain: SimDuration,
-    grain_cv: f64,
-    cs: SimDuration,
+    grain: Jitter,
+    /// Critical-section length, jittered at half the grain's cv.
+    cs: Jitter,
     num_locks: u32,
     iter: u64,
     state: LockState,
@@ -98,9 +129,8 @@ impl LockLoop {
         LockLoop {
             label: label.into(),
             remaining: work,
-            grain,
-            grain_cv,
-            cs,
+            grain: Jitter::new(grain, grain_cv),
+            cs: Jitter::new(cs, grain_cv * 0.5),
             num_locks,
             iter: 0,
             state: LockState::Computing,
@@ -120,7 +150,7 @@ impl ThreadModel for LockLoop {
                     if self.remaining.is_zero() {
                         return Action::Done;
                     }
-                    let seg = jittered(rng, self.grain, self.grain_cv).min_of(self.remaining);
+                    let seg = self.grain.sample(rng).min_of(self.remaining);
                     self.remaining -= seg;
                     self.state = LockState::Locking;
                     if seg.is_zero() {
@@ -135,7 +165,7 @@ impl ThreadModel for LockLoop {
                 LockState::InCs => {
                     // The critical section spends budget too, so total
                     // compute is budget-exact (mode-independent).
-                    let cs = jittered(rng, self.cs, self.grain_cv * 0.5);
+                    let cs = self.cs.sample(rng);
                     self.remaining = self.remaining.saturating_sub(cs);
                     self.state = LockState::Unlocking(self.lock_id());
                     return Action::Compute(cs);
@@ -157,9 +187,8 @@ impl ThreadModel for LockLoop {
         h.write_str("lock_loop");
         h.write_str(&self.label);
         self.remaining.stable_hash(h);
-        self.grain.stable_hash(h);
-        h.write_f64(self.grain_cv);
-        self.cs.stable_hash(h);
+        self.grain.fingerprint(h);
+        self.cs.mean().stable_hash(h);
         h.write_u64(self.num_locks as u64);
     }
 }
@@ -169,8 +198,7 @@ impl ThreadModel for LockLoop {
 pub struct BarrierLoop {
     label: String,
     phases_left: u64,
-    grain: SimDuration,
-    grain_cv: f64,
+    grain: Jitter,
     barrier_id: u32,
     at_barrier: bool,
 }
@@ -187,8 +215,7 @@ impl BarrierLoop {
         BarrierLoop {
             label: label.into(),
             phases_left: phases,
-            grain,
-            grain_cv,
+            grain: Jitter::new(grain, grain_cv),
             barrier_id,
             at_barrier: false,
         }
@@ -206,7 +233,7 @@ impl ThreadModel for BarrierLoop {
             return Action::Done;
         }
         self.at_barrier = true;
-        Action::Compute(jittered(rng, self.grain, self.grain_cv))
+        Action::Compute(self.grain.sample(rng))
     }
 
     fn label(&self) -> &str {
@@ -217,8 +244,7 @@ impl ThreadModel for BarrierLoop {
         h.write_str("barrier_loop");
         h.write_str(&self.label);
         h.write_u64(self.phases_left);
-        self.grain.stable_hash(h);
-        h.write_f64(self.grain_cv);
+        self.grain.fingerprint(h);
         h.write_u64(self.barrier_id as u64);
     }
 }
@@ -371,8 +397,7 @@ impl ThreadModel for SyncRateThread {
 /// even "idle" VMs occasional soft timers.
 pub struct SleeperThread {
     label: String,
-    period: SimDuration,
-    jitter_cv: f64,
+    period: Jitter,
     work: SimDuration,
     wakeups_left: u64,
     sleeping: bool,
@@ -389,8 +414,7 @@ impl SleeperThread {
         assert!(!period.is_zero(), "zero sleep period");
         SleeperThread {
             label: label.into(),
-            period,
-            jitter_cv,
+            period: Jitter::new(period, jitter_cv),
             work,
             wakeups_left: wakeups,
             sleeping: false,
@@ -409,7 +433,7 @@ impl ThreadModel for SleeperThread {
         }
         self.wakeups_left -= 1;
         self.sleeping = true;
-        Action::Sleep(jittered(rng, self.period, self.jitter_cv))
+        Action::Sleep(self.period.sample(rng))
     }
 
     fn label(&self) -> &str {
@@ -419,8 +443,7 @@ impl ThreadModel for SleeperThread {
     fn fingerprint(&self, h: &mut StableHasher) {
         h.write_str("sleeper");
         h.write_str(&self.label);
-        self.period.stable_hash(h);
-        h.write_f64(self.jitter_cv);
+        self.period.fingerprint(h);
         self.work.stable_hash(h);
         h.write_u64(self.wakeups_left);
     }
@@ -665,9 +688,10 @@ mod tests {
     fn jitter_statistics() {
         let mut r = rng();
         let mean = SimDuration::from_micros(100);
+        let mut jitter = Jitter::new(mean, 0.5);
         let n = 20_000;
         let total: u64 = (0..n)
-            .map(|_| jittered(&mut r, mean, 0.5).as_nanos())
+            .map(|_| jitter.sample(&mut r).as_nanos())
             .sum();
         let avg = total as f64 / n as f64;
         assert!(

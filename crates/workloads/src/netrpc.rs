@@ -15,6 +15,7 @@
 //! by on-CPU request processing.
 
 use crate::action::{Action, ThreadModel, VmWorkload};
+use crate::models::Jitter;
 use paratick_hw::IoOp;
 use paratick_sim::{SimDuration, SimRng};
 
@@ -46,6 +47,8 @@ impl Default for RpcSpec {
 pub struct RpcWorker {
     label: String,
     spec: RpcSpec,
+    /// Per-call processing time, from `spec.service` and `service_cv`.
+    service: Jitter,
     calls_left: u64,
     offset: u64,
     awaiting_process: bool,
@@ -58,6 +61,7 @@ impl RpcWorker {
         RpcWorker {
             label: label.into(),
             spec,
+            service: Jitter::new(spec.service, spec.service_cv),
             calls_left: spec.calls_per_worker,
             offset: 0,
             awaiting_process: false,
@@ -69,13 +73,7 @@ impl ThreadModel for RpcWorker {
     fn next(&mut self, rng: &mut SimRng) -> Action {
         if self.awaiting_process {
             self.awaiting_process = false;
-            let m = self.spec.service.as_nanos() as f64;
-            let d = if self.spec.service_cv > 0.0 {
-                SimDuration::from_nanos(rng.lognormal(m, m * self.spec.service_cv).max(1.0) as u64)
-            } else {
-                self.spec.service
-            };
-            return Action::Compute(d);
+            return Action::Compute(self.service.sample(rng));
         }
         if self.calls_left == 0 {
             return Action::Done;

@@ -29,6 +29,7 @@
 //! does.
 
 use crate::action::{Action, ThreadModel, VmWorkload};
+use crate::models::Jitter;
 use paratick_hw::IoOp;
 use paratick_sim::{SimDuration, SimRng};
 
@@ -236,6 +237,8 @@ pub fn profile(name: &str) -> Option<&'static ParsecProfile> {
 /// A thread executing a [`ParsecProfile`].
 pub struct ParsecThread {
     profile: ParsecProfile,
+    /// Compute-grain sampler, built from the profile's grain and cv.
+    grain: Jitter,
     /// Scaled per-thread budget.
     total: SimDuration,
     remaining: SimDuration,
@@ -278,6 +281,7 @@ impl ParsecThread {
         };
         ParsecThread {
             profile,
+            grain: Jitter::new(profile.grain, profile.grain_cv),
             total,
             remaining: total,
             barriers_total,
@@ -320,13 +324,7 @@ impl ThreadModel for ParsecThread {
         }
         // One iteration: compute a grain, then queue the follow-ups.
         let p = self.profile;
-        let mean = p.grain.as_nanos() as f64;
-        let seg_raw = if p.grain_cv > 0.0 {
-            SimDuration::from_nanos(rng.lognormal(mean, mean * p.grain_cv).max(1.0) as u64)
-        } else {
-            p.grain
-        };
-        let seg = seg_raw.min_of(self.remaining);
+        let seg = self.grain.sample(rng).min_of(self.remaining);
         self.remaining -= seg;
         self.since_io += seg;
         self.iter += 1;

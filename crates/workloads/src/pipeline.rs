@@ -19,6 +19,7 @@
 //! predicate (Mesa semantics) and exit.
 
 use crate::action::{Action, ThreadModel, VmWorkload};
+use crate::models::Jitter;
 use paratick_sim::{SimDuration, SimRng};
 use std::sync::{Arc, Mutex};
 
@@ -123,8 +124,7 @@ pub struct StageWorker {
     deregistered: bool,
     /// Items this worker fully handled.
     pub handled: u64,
-    service: SimDuration,
-    service_cv: f64,
+    service: Jitter,
 }
 
 impl StageWorker {
@@ -133,15 +133,6 @@ impl StageWorker {
             Step::Process
         } else {
             Step::PopLock
-        }
-    }
-
-    fn service_time(&self, rng: &mut SimRng) -> SimDuration {
-        let m = self.service.as_nanos() as f64;
-        if self.service_cv > 0.0 {
-            SimDuration::from_nanos(rng.lognormal(m, m * self.service_cv).max(1.0) as u64)
-        } else {
-            self.service
         }
     }
 
@@ -211,7 +202,7 @@ impl ThreadModel for StageWorker {
                     } else {
                         Step::PushLock
                     };
-                    return Action::Compute(self.service_time(rng));
+                    return Action::Compute(self.service.sample(rng));
                 }
                 Step::PushLock => {
                     self.step = Step::PushCheck;
@@ -277,13 +268,11 @@ impl ThreadModel for StageWorker {
     }
 
     fn fingerprint(&self, h: &mut paratick_sim::StableHasher) {
-        use paratick_sim::StableHash;
         h.write_str("pipeline_stage");
         h.write_str(&self.label);
         h.write_u64(self.stage as u64);
         h.write_u64(self.last_stage as u64);
-        self.service.stable_hash(h);
-        h.write_f64(self.service_cv);
+        self.service.fingerprint(h);
         // Shared queue shape: fingerprinting happens before the run
         // starts, so to_produce still holds the item budget.
         let sh = self.shared.lock().unwrap();
@@ -315,8 +304,7 @@ pub fn workload(spec: PipelineSpec) -> VmWorkload {
                 step: StageWorker::cycle_start(stage),
                 deregistered: false,
                 handled: 0,
-                service: spec.service,
-                service_cv: spec.service_cv,
+                service: Jitter::new(spec.service, spec.service_cv),
             }));
         }
     }

@@ -83,25 +83,30 @@ if grep -q "violation" /tmp/paratick-faults-smoke.txt; then
 fi
 echo "    ok ($(grep -m1 'faults:' /tmp/paratick-faults-smoke.txt || echo 'no faults line'))"
 
-# Outcome-pin smoke: the benchmark's own tests, then a short
-# table1-synth pass. That pass checks every run's outcome digest against
-# perfbench/pins.txt and W1/W2 periodic timer exits against
-# analytic::table1(); its last line must report correct with no failed
-# operations. This only runs perfbench; it edits nothing under it.
-echo "==> perfbench outcome-pin smoke (table1-synth)"
+# Outcome-pin smoke: the benchmark's own tests, then a short pass of
+# each benchmark workload. table1-synth checks every run's outcome
+# digest against perfbench/pins.txt and W1/W2 periodic timer exits
+# against analytic::table1(); grid-warm pins the fig4/5/6 grid, the
+# only place the PARSEC, fio and block-device samplers draw. Each pass's
+# last line must report correct with no failed operations. This only
+# runs perfbench; it edits nothing under it.
+echo "==> perfbench outcome-pin smoke (table1-synth, grid-warm)"
 run cargo test -q --manifest-path perfbench/Cargo.toml $CARGO_ARGS || exit 1
-if ! cargo run --release -q --manifest-path perfbench/Cargo.toml $CARGO_ARGS \
-    -- --workload table1-synth --seed 0 --seconds 2 --trace 0 \
-    > /tmp/paratick-perfbench-smoke.txt 2> /tmp/paratick-perfbench-smoke.err; then
-  echo "    perfbench table1-synth failed:"; tail -20 /tmp/paratick-perfbench-smoke.err; exit 1
-fi
-last=$(tail -1 /tmp/paratick-perfbench-smoke.txt)
-if ! grep -q '"correct": true' <<< "$last" || ! grep -q '"failed": 0,' <<< "$last"; then
-  echo "    outcome pins or analytic cross-check failed: $last"
-  tail -20 /tmp/paratick-perfbench-smoke.err
-  exit 1
-fi
-echo "    ok (pinned Table 1 outcome digests and analytic::table1() match)"
+for workload in table1-synth grid-warm; do
+  out=/tmp/paratick-perfbench-smoke-$workload
+  if ! cargo run --release -q --manifest-path perfbench/Cargo.toml $CARGO_ARGS \
+      -- --workload $workload --seed 0 --seconds 2 --trace 0 \
+      > $out.txt 2> $out.err; then
+    echo "    perfbench $workload failed:"; tail -20 $out.err; exit 1
+  fi
+  last=$(tail -1 $out.txt)
+  if ! grep -q '"correct": true' <<< "$last" || ! grep -q '"failed": 0,' <<< "$last"; then
+    echo "    $workload: outcome pins or cross-checks failed: $last"
+    tail -20 $out.err
+    exit 1
+  fi
+done
+echo "    ok (pinned Table 1 and grid outcome digests and analytic::table1() match)"
 
 # Run-cache acceptance: a cold `paratick all` populates a fresh cache;
 # the warm rerun must serve every simulation from it (hits == runs in

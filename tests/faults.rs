@@ -201,3 +201,21 @@ fn zero_pcpu_host_is_a_config_error() {
         other => panic!("expected Config error, got {other:?}"),
     }
 }
+
+/// A NUMA wakeup penalty that cannot scale a latency is a configuration
+/// error at assembly, not a panic at the first cross-socket wakeup.
+#[test]
+fn bad_numa_penalty_is_a_config_error() {
+    for penalty in [-1.0, f64::NAN, f64::INFINITY] {
+        let mut host = HostConfig::small(2);
+        host.cost.numa_penalty = penalty;
+        let s = Scenario::new(host).vm(
+            VmConfig::with_vcpus(1),
+            paratick_workloads::VmWorkload::idle("x"),
+        );
+        match Engine::run(s) {
+            Err(SimError::Config(msg)) => assert!(msg.contains("NUMA"), "{msg}"),
+            other => panic!("penalty {penalty}: expected Config error, got {other:?}"),
+        }
+    }
+}
